@@ -153,7 +153,7 @@ def install(tracer: Tracer) -> Callable[[], None]:
     for mod in (tcd, otcd, index):
         patch(mod, "tcd_operation", tcd_op)
 
-    init, copy, add_edge = TEL.__init__, TEL.copy, TEL.add_edge
+    init, copy = TEL.__init__, TEL.copy
     in_copy = [False]
 
     @functools.wraps(init)
@@ -184,19 +184,8 @@ def install(tracer: Tracer) -> Callable[[], None]:
         tracer.see_edges(out.n_edges)
         return out
 
-    @functools.wraps(add_edge)
-    def tel_add_edge(self, u, v, t):
-        sid = tracer.begin("tel.add_edge")
-        t0 = perf_counter()
-        try:
-            return add_edge(self, u, v, t)
-        finally:
-            tracer.end(sid, "tel.add_edge", t0)
-            tracer.see_edges(self.n_edges)
-
     patch(TEL, "__init__", tel_init)
     patch(TEL, "copy", tel_copy)
-    patch(TEL, "add_edge", tel_add_edge)
 
     patch(tcd, "window_tel", spanned("tcd.window_tel", tcd.window_tel, after_window))
     patch(otcd, "otcd_query", spanned("otcd.query", otcd.otcd_query, after_query("otcd")))

@@ -1,27 +1,24 @@
-"""The five benchmark workloads.
+"""The three benchmark workloads.
 
 Each workload builds its inputs from public ``repro`` functions and a
-seed, runs fixed *passes* (one pass is the unit of work whose wall time
-is reported) and checks every output outside the timed region. Calls
+seed, runs fixed *passes* (the same list of queries, in the same order,
+every pass) and checks every output outside the timed region. Calls
 into the program go through module attributes (``tcd.window_tel``,
 ``otcd.otcd_query`` ...) so the tracer's wrappers see them.
 
-A pass returns ``(ops, edges_in)``: ``ops`` is a list of
-``(latency_s, output)`` for the queries it ran and ``edges_in`` the
-input edges it took in: the edges appended on ``stream-ingest``, and
-elsewhere the dataset's |E| per query, since every query is answered
-from the full edge set (window extraction, the PHC build and the Spark
-filter all read it). |E| does not depend on the seed, so this rate
-varies across seeds only as much as the query rate does.
+A pass returns a list of ``(latency_s, output)``, one per query, in the
+same order on every pass, so run.py can take each query's fastest
+repetition.
 """
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import gc
 import os
 import shlex
 import statistics
 import subprocess
+from bisect import bisect_left, bisect_right
 from time import perf_counter
 
 import pandas as pd
@@ -73,29 +70,39 @@ def select_queries(specs: dict) -> list[QuerySpec]:
     return out
 
 
-def budget_queries(specs: dict, per_dataset: int) -> list[QuerySpec]:
-    """Figure 7 windows (same k and span) centred on the bursts at evenly
-    spaced quantiles of each dataset's burst edge budget. A query's cost
-    follows the size of its burst, so picking by budget quantile keeps a
-    pass's cost steady across seeds where picking by position does not."""
+def median_queries(specs: dict, arrays: dict) -> list[QuerySpec]:
+    """One Figure 7 window (same k and span) per dataset: of the windows
+    centred on its bursts, the one holding the median number of edges.
+    A query's cost follows the edges in its window, and the largest
+    bursts are a few heavy draws, so picking by position (queries 1, 6,
+    11 and 16) spread pass time 26-35% across seeds."""
     out: list[QuerySpec] = []
     for name, k, span_days in QUERY_PLAN:
+        t = arrays[name][2]  # generate_pdf sorts by t
         sched = burst_schedule(specs[name])
-        sched = sched[sched["edges"] > 0].sort_values(["edges", "burst"])
-        n = len(sched)
-        for j in range(per_dataset):
-            center = int(sched.iloc[(j + 1) * n // (per_dataset + 1)]["center"])
-            out.append(_centred(len(out) + 1, specs[name], name, k, span_days, center))
+        windows = sorted(
+            (
+                _centred(0, specs[name], name, k, span_days, int(c))
+                for c in sched.loc[sched["edges"] > 0, "center"]
+            ),
+            key=lambda q: (bisect_right(t, q.Te) - bisect_left(t, q.Ts), q.Ts),
+        )
+        q = windows[len(windows) // 2]
+        out.append(dataclasses.replace(q, qid=len(out) + 1))
     return out
 
 
 class Workload:
-    """Datasets at one scale, loaded ``setup_repeats`` times in setup."""
+    """Datasets at one scale, loaded several times in setup."""
 
     datasets: tuple[str, ...] = ()
     sf = 1.0
     spark_master = "none"
-    setup_repeats = 5  # setup_s is the median over the repeats
+    # setup_s is the median over the repeats: at least min_setup_repeats,
+    # more while they have taken under setup_budget_s (at most 25).
+    min_setup_repeats = 5
+    setup_budget_s = 2.0
+    warmup_passes = 1  # checked but not timed
 
     def __init__(self, seed: int | None, tmp_dir: str) -> None:
         self.tmp_dir = tmp_dir
@@ -110,7 +117,13 @@ class Workload:
     def setup(self) -> dict[str, float]:
         """Generate and cache every dataset; return per-layer set-up
         times (each the median over the repeats) and ``setup_s``."""
-        runs = [self._load() for _ in range(self.setup_repeats)]
+        runs: list[dict[str, float]] = []
+        t0 = perf_counter()
+        while len(runs) < self.min_setup_repeats or (
+            perf_counter() - t0 < self.setup_budget_s and len(runs) < 25
+        ):
+            gc.collect()
+            runs.append(self._load())
         out = {key: statistics.median(r[key] for r in runs) for key in runs[0]}
         out["setup_s"] = statistics.median(sum(r.values()) for r in runs)
         self.array_lengths = {n: tuple(map(len, a)) for n, a in self.arrays.items()}
@@ -137,15 +150,15 @@ class Workload:
     def reference(self) -> None:
         """Untimed expected outputs for the checks."""
 
-    def run_pass(self, tracer) -> tuple[list[tuple[float, object]], int]:
+    def run_pass(self, tracer) -> list[tuple[float, object]]:
         raise NotImplementedError
 
     def check(self, i: int, out) -> str | None:
         """``None`` if op ``i`` of a pass returned the right output."""
         raise NotImplementedError
 
-    def n_cores(self, out) -> int:
-        """Distinct cores op output ``out`` holds."""
+    def n_cores(self, i: int, out) -> int:
+        """Distinct cores op ``i``'s output ``out`` holds."""
         return len(out.cores)
 
     def arrays_unchanged(self) -> bool:
@@ -175,14 +188,12 @@ class Fig7Queries(Workload):
 
     def run_pass(self, tracer):
         ops = []
-        edges_in = 0
         for q in self.queries:
             t0 = perf_counter()
             tel = tcd.window_tel(*self.arrays[q.dataset], q.Ts, q.Te)
             res = otcd.otcd_query(tel, q.k, q.Ts, q.Te)
             ops.append((perf_counter() - t0, res))
-            edges_in += len(self.arrays[q.dataset][2])
-        return ops, edges_in
+        return ops
 
     def check(self, i, res):
         if res.ttis() != self.expected[i]:
@@ -192,129 +203,15 @@ class Fig7Queries(Workload):
         return None
 
 
-class YoutubeScan(Workload):
-    """Table-6-style k=10 scans (signatures off) of the youtube timeline,
-    tiled into 8-day windows. A single 30-day prefix spreads ~20% across
-    seeds in time and core count, because its cost hinges on the few
-    bursts it holds, and every other tile still spread ~20%; all 28
-    tiles average over ~50 bursts. The full 226-day scan takes over a
-    minute, while the tiles' row sweeps still do most of the work, with
-    one extraction each."""
-
-    datasets = ("youtube",)
-    K = 10
-    WINDOW_DAYS = 8
-    # sha256 of the pass output at the default seed (see digest()).
-    PINNED_DIGEST = "20f1adabd60e5843aa43215efddb82ae43480f525d41cbf8ac63238408a438a7"
-
-    def reference(self) -> None:
-        spec = self.specs["youtube"]
-        width = self.WINDOW_DAYS * spec.ticks_per_day
-        self.windows = [
-            (1 + i * width, (i + 1) * width) for i in range(spec.n_ticks // width)
-        ]
-        self.first_pass: list[list | None] = [None] * len(self.windows)
-
-    def run_pass(self, tracer):
-        ops = []
-        edges_in = 0
-        arrays = self.arrays["youtube"]
-        for Ts, Te in self.windows:
-            t0 = perf_counter()
-            tel = tcd.window_tel(*arrays, Ts, Te)
-            res = otcd.otcd_query(tel, self.K, Ts, Te, signatures=False)
-            ops.append((perf_counter() - t0, res))
-            edges_in += len(arrays[2])
-        return ops, edges_in
-
-    @staticmethod
-    def summary(res) -> list[tuple]:
-        return sorted((c.tti, c.n_vertices, c.n_edges) for c in res.cores)
-
-    @staticmethod
-    def digest(summaries: list[list[tuple]]) -> str:
-        return hashlib.sha256(repr(summaries).encode()).hexdigest()
-
-    def check(self, i, res):
-        got = self.summary(res)
-        if self.first_pass[i] is None:
-            self.first_pass[i] = got
-            err = self._reinduce(i, got)
-            if err:
-                return err
-            if i == len(self.windows) - 1 and self.default_seed:
-                if self.digest(self.first_pass) != self.PINNED_DIGEST:
-                    return "scan output differs from the pinned digest"
-            return None
-        if got != self.first_pass[i]:
-            return f"window {i}: output differs from the first pass"
-        return None
-
-    def _reinduce(self, i: int, got: list[tuple]) -> str | None:
-        """The largest core must equal T^k_[a,b] of its own TTI [a, b]
-        (Property 2), induced here from G_[a,b] alone."""
-        if not got:
-            return None
-        (a, b), nv, ne = max(got, key=lambda r: (r[2], r[0]))
-        tel = tcd.window_tel(*self.arrays["youtube"], a, b)
-        tcd.tcd_operation(tel, self.K, a, b)
-        if (tel.get_tti(), tel.n_vertices(), tel.n_edges) != ((a, b), nv, ne):
-            return f"window {i}: core {(a, b)} does not re-induce"
-        return None
-
-
-class StreamIngest(Workload):
-    """Replay the first DAYS days of collegemsg into an empty TEL with
-    add_edge, running a 3-day k=2 otcd_query at every day boundary."""
-
-    datasets = ("collegemsg",)
-    DAYS = 64
-    WINDOW_DAYS = 3
-    K = 2
-
-    def reference(self) -> None:
-        spec = self.specs["collegemsg"]
-        tpd = spec.ticks_per_day
-        self.ticks = [
-            (max(1, d * tpd - self.WINDOW_DAYS * tpd + 1), d * tpd)
-            for d in range(1, self.DAYS + 1)
-        ]
-        arrays = self.arrays["collegemsg"]
-        self.expected = [
-            otcd.otcd_query(tcd.window_tel(*arrays, Ts, Te), self.K, Ts, Te).ttis()
-            for Ts, Te in self.ticks
-        ]
-
-    def run_pass(self, tracer):
-        u, v, t = self.arrays["collegemsg"]
-        n = len(t)
-        tel = TEL([], [], [])
-        i = 0
-        ops = []
-        for Ts, Te in self.ticks:
-            while i < n and t[i] <= Te:
-                tel.add_edge(u[i], v[i], t[i])
-                i += 1
-            t0 = perf_counter()
-            res = otcd.otcd_query(tel, self.K, Ts, Te)
-            ops.append((perf_counter() - t0, res))
-        return ops, i
-
-    def check(self, i, res):
-        if res.ttis() != self.expected[i]:
-            return f"tick {self.ticks[i][1]}: streamed TTIs differ from a fresh window_tel"
-        return None
-
-
 class Fig7Baselines(Workload):
-    """tcd_query, build_phc_index and iphc_query at sf=0.1 on three
-    Figure 7 windows per dataset (burst budget quartiles), each checked
-    against OTCD. Queries 1, 6, 11 and 16 alone spread 26-35% across
-    seeds in pass time, two windows per dataset ~20%."""
+    """tcd_query, build_phc_index and iphc_query at sf=0.1 on the
+    median_queries windows, each checked against OTCD. Each of the three
+    calls is timed as an operation of its own, so the shorter ones get
+    their own fastest repetition."""
 
     datasets = ("collegemsg", "email-eu", "mathoverflow", "stackoverflow")
     sf = 0.1
-    PER_DATASET = 3
+    STEPS = ("TCD", "PHC build", "iPHC")
 
     def _cache(self, name):
         # The full edge list build_phc_index and iphc_query take (ids =
@@ -322,7 +219,7 @@ class Fig7Baselines(Workload):
         self.edges[name] = list(zip(*self.arrays[name]))
 
     def reference(self) -> None:
-        self.queries = budget_queries(self.specs, self.PER_DATASET)
+        self.queries = median_queries(self.specs, self.arrays)
         self.expected = [
             otcd.otcd_query(
                 tcd.window_tel(*self.arrays[q.dataset], q.Ts, q.Te), q.k, q.Ts, q.Te
@@ -332,39 +229,44 @@ class Fig7Baselines(Workload):
 
     def run_pass(self, tracer):
         ops = []
-        edges_in = 0
         for q in self.queries:
             edges = self.edges[q.dataset]
             t0 = perf_counter()
             tel = tcd.window_tel(*self.arrays[q.dataset], q.Ts, q.Te)
             res_t = tcd.tcd_query(tel, q.k, q.Ts, q.Te)
+            t1 = perf_counter()
             idx = index.build_phc_index(edges, q.k, q.Ts, q.Te)
+            t2 = perf_counter()
             res_b = baseline.iphc_query(edges, idx, q.k, q.Ts, q.Te)
-            ops.append((perf_counter() - t0, (res_t, res_b)))
-            edges_in += len(edges)
-        return ops, edges_in
+            t3 = perf_counter()
+            ops += [(t1 - t0, res_t), (t2 - t1, idx), (t3 - t2, res_b)]
+        return ops
 
-    def n_cores(self, out):
-        return len(out[0].cores)
+    def n_cores(self, i, out):
+        # Count each window's cores once, from its TCD result.
+        return len(out.cores) if i % 3 == 0 else 0
 
     def check(self, i, out):
-        res_t, res_b = out
-        if res_t.keys() != self.expected[i]:
-            return f"q{self.queries[i].qid}: TCD differs from OTCD"
-        if res_b.keys() != self.expected[i]:
-            return f"q{self.queries[i].qid}: iPHC differs from OTCD"
+        q = self.queries[i // 3]
+        step = self.STEPS[i % 3]
+        if step == "PHC build":
+            if sorted(out) != list(range(q.Ts, q.Te + 1)):
+                return f"q{q.qid}: PHC index does not hold every anchor"
+        elif out.keys() != self.expected[i // 3]:
+            return f"q{q.qid}: {step} differs from OTCD"
         return None
 
 
 class SparkTcq(Workload):
-    """distributed_tcq_pdf on cached DataFrames for queries 1, 6, 11, 16
-    at sf=0.1; TTIs must equal the driver OTCD's. The first query after
-    start-up pays for Python worker launch, so one warm-up query is part
-    of set-up."""
+    """distributed_tcq_pdf on cached DataFrames for the median_queries
+    windows at sf=0.1; TTIs must equal the driver OTCD's. The first pass after
+    start-up pays for the Python worker launch and the JVM's JIT
+    compilation (it ran ~40% slower than the third) and is not timed."""
 
     datasets = ("collegemsg", "email-eu", "mathoverflow", "stackoverflow")
     sf = 0.1
-    setup_repeats = 3  # each repeat also caches four DataFrames (~1-2 s)
+    min_setup_repeats = 3  # each repeat also caches four DataFrames (~1-2 s)
+    setup_budget_s = 0.0
     CORES = 2
     SHUFFLE_PARTITIONS = 8
 
@@ -379,12 +281,7 @@ class SparkTcq(Workload):
         self.spark = start_spark(self.spark_master, self.SHUFFLE_PARTITIONS, self.tmp_dir)
         session_s = perf_counter() - t0
         out = super().setup()
-        self.queries = [select_queries(self.specs)[i] for i in (0, 5, 10, 15)]
-        q = self.queries[0]
-        t0 = perf_counter()
-        tcq.distributed_tcq_pdf(self.spark, self.frames[q.dataset], q.k, q.Ts, q.Te)
-        warmup_s = perf_counter() - t0
-        out["setup_s"] += session_s + warmup_s
+        out["setup_s"] += session_s
         return out
 
     def _load(self):
@@ -405,6 +302,7 @@ class SparkTcq(Workload):
         """Driver OTCD TTIs, plus the work the Spark path does per query
         recomputed on the driver: the size of T^k_[Ts,Te] it peels to
         and the rows its per-anchor row sweeps emit before distinct."""
+        self.queries = median_queries(self.specs, self.arrays)
         self.expected, self.core_edges, self.rows_emitted = [], [], []
         for q in self.queries:
             u, v, t = self.arrays[q.dataset]
@@ -422,7 +320,6 @@ class SparkTcq(Workload):
     def run_pass(self, tracer):
         sc = self.spark.sparkContext
         ops = []
-        edges_in = 0
         for i, q in enumerate(self.queries):
             if tracer is not None:
                 group = f"perfbench-{len(tracer.spans)}"
@@ -430,7 +327,6 @@ class SparkTcq(Workload):
             t0 = perf_counter()
             pdf = tcq.distributed_tcq_pdf(self.spark, self.frames[q.dataset], q.k, q.Ts, q.Te)
             ops.append((perf_counter() - t0, set(zip(pdf["tti_s"], pdf["tti_e"]))))
-            edges_in += len(self.arrays[q.dataset][2])
             if tracer is not None:
                 c = tracer.counters
                 c["sparkdist.anchors"] += q.Te - q.Ts + 1
@@ -440,9 +336,9 @@ class SparkTcq(Workload):
                 jobs, tasks = job_group_counts(sc, group)
                 c["sparkdist.jobs"] += jobs
                 c["sparkdist.tasks"] += tasks
-        return ops, edges_in
+        return ops
 
-    def n_cores(self, ttis):
+    def n_cores(self, i, ttis):
         return len(ttis)
 
     def check(self, i, ttis):
@@ -517,8 +413,6 @@ def job_group_counts(sc, group: str) -> tuple[int, int]:
 
 WORKLOADS = {
     "fig7-queries": Fig7Queries,
-    "youtube-scan": YoutubeScan,
-    "stream-ingest": StreamIngest,
     "fig7-baselines": Fig7Baselines,
     "spark-tcq": SparkTcq,
 }
