@@ -2,11 +2,10 @@
 from .otcd import IntervalSet, otcd_query
 from .records import CoreRecord, QueryResult, QueryStats
 from .tcd import row_sweep_distinct, tcd_operation, tcd_query, window_tel
-from .tel import TEL, DegreeHeap
+from .tel import TEL
 
 __all__ = [
     "TEL",
-    "DegreeHeap",
     "CoreRecord",
     "QueryResult",
     "QueryStats",

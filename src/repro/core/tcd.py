@@ -2,10 +2,15 @@
 
 ``tcd_operation`` mutates a TEL in place: *truncation* drops timeline
 nodes outside ``[ts, te]`` from both ends, then *decomposition* peels
-vertices with fewer than ``k`` distinct neighbours (degree heap H_v).
-By Theorem 1 it may be applied to any temporal k-core whose interval
-contains ``[ts, te]``, which is what makes the decremental row sweep of
-Algorithm 2 correct.
+vertices with fewer than ``k`` distinct neighbours. By Theorem 1 it may
+be applied to any temporal k-core whose interval contains ``[ts, te]``,
+which is what makes the decremental row sweep of Algorithm 2 correct.
+Such an instance is a k-core already, so decomposition peels from the
+TEL's sub-``k`` worklist and scans every degree only for an instance
+not yet known to be a core at ``k`` (a fresh window, or a larger ``k``).
+
+``window_tel`` cuts ``TEL(G_[ts,te])`` out of the time-sorted dataset
+arrays by bisection, so a query costs its window, not the dataset.
 
 ``tcd_query`` is Algorithm 2: enumerate subintervals row-major
 (``ts`` ascending; within a row ``te`` descending), inducing each core
@@ -14,7 +19,7 @@ seen before.
 """
 from __future__ import annotations
 
-from typing import Callable
+from bisect import bisect_left, bisect_right
 
 from .records import CoreRecord, QueryResult, QueryStats
 from .tel import TEL
@@ -27,7 +32,6 @@ def tcd_operation(
     te: int,
     *,
     min_strength: int = 1,
-    on_peel: Callable[[int], None] | None = None,
 ) -> TEL:
     """Induce ``T^k_[ts,te]`` in place from the graph held by ``tel``.
 
@@ -35,9 +39,6 @@ def tcd_operation(
     §6.2): a vertex pair counts as adjacent only while it retains at
     least that many parallel edges; pairs that fall below the bound
     lose all their remaining edges. ``min_strength=1`` is plain TCQ.
-
-    ``on_peel(v)`` is called when decomposition removes vertex ``v``
-    (the PHC-Index builder uses it to record core times).
     """
     # -- truncation: walk the timeline from the head up to ts ...
     t = tel.head_t
@@ -63,17 +64,15 @@ def tcd_operation(
     if min_strength > 1:
         _enforce_strength(tel, min_strength)
 
-    # -- decomposition: peel vertices with degree < k.
-    heap = tel.heap
-    while True:
-        d = heap.peek_degree()
-        if d is None or d >= k:
-            break
-        v = heap.pop()
-        if v is None:
-            break
-        if on_peel is not None:
-            on_peel(v)
+    # -- decomposition: peel vertices with degree < k from the worklist.
+    deg, low = tel.deg, tel.low
+    if k > tel.kcore:
+        low[:] = [v for v, d in deg.items() if d < k]
+    tel.kcore = k
+    while low:
+        v = low.pop()
+        if deg.get(v, k) >= k:
+            continue  # still >= k, or gone already
         for e in tel.incident_edges(v):
             if e in tel.alive:
                 tel.del_edge(e)
@@ -114,8 +113,16 @@ def window_tel(
     keeping *global* edge ids so signatures stay comparable across
     algorithms (paper §5.2: queries start from a truncated copy of
     TEL(G); building only the window is the same object for less work).
+
+    On a time-sorted ``edge_t`` list (as ``generate_pdf`` and
+    ``edge_arrays`` give) the window is the id range found by bisection;
+    anything else falls back to a scan. Sortedness is checked on every
+    call, at C speed, because the list may have been changed since.
     """
-    eids = [e for e, t in enumerate(edge_t) if ts <= t <= te]
+    if sorted(edge_t) == edge_t:
+        eids = range(bisect_left(edge_t, ts), bisect_right(edge_t, te))
+    else:
+        eids = [e for e, t in enumerate(edge_t) if ts <= t <= te]
     return TEL(edge_u, edge_v, edge_t, eids=eids)
 
 

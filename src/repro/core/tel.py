@@ -12,8 +12,11 @@ three dimensions, each supporting O(1) manipulation:
 
 On top of the paper's structure we maintain, per vertex, a multiplicity
 counter of *distinct neighbours* (temporal k-core degrees count neighbour
-vertices, not parallel edges) and a lazy min-heap ``H_v`` over those
-degrees, which Algorithm 4 uses to pop sub-``k`` vertices.
+vertices, not parallel edges). In place of the paper's degree heap
+``H_v``, Algorithm 4 peels from a sub-``k`` worklist (the O(m) peeling
+of Batagelj & Zaversnik, 2003): every vertex whose degree is below the
+instance's known core level ``kcore`` is on ``low``, because deletions
+and appends push each vertex whose degree changes to below it.
 
 All mutating operations keep the invariant that a timestamp node exists
 on the timeline iff its TL is non-empty, so the TTI of the represented
@@ -21,66 +24,23 @@ on the timeline iff its TL is non-empty, so the TTI of the represented
 """
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, Sequence
-
-
-class DegreeHeap:
-    """Lazy min-heap of ``(degree, vertex)`` entries (the paper's H_v).
-
-    Degree decreases push fresh entries; stale entries are discarded at
-    pop time by comparing against the live degree map. This gives the
-    O(log |V|) amortised maintenance the paper's complexity analysis
-    assumes without intrusive heap surgery.
-    """
-
-    __slots__ = ("_heap", "_deg")
-
-    def __init__(self, degrees: dict) -> None:
-        self._deg = degrees
-        self._heap = [(d, v) for v, d in degrees.items()]
-        heapq.heapify(self._heap)
-
-    def push(self, vertex) -> None:
-        """Re-register ``vertex`` after its degree changed."""
-        heapq.heappush(self._heap, (self._deg[vertex], vertex))
-
-    def peek_degree(self):
-        """Smallest live degree, or ``None`` if no vertices remain."""
-        h = self._heap
-        while h:
-            d, v = h[0]
-            live = self._deg.get(v)
-            if live is None or live != d:
-                heapq.heappop(h)
-                continue
-            return d
-        return None
-
-    def pop(self):
-        """Pop the vertex with the smallest live degree (or ``None``)."""
-        h = self._heap
-        while h:
-            d, v = heapq.heappop(h)
-            live = self._deg.get(v)
-            if live is not None and live == d:
-                return v
-        return None
 
 
 class TEL:
     """Temporal Edge List over edges ``(u, v, t)`` with stable edge ids.
 
-    Edge ids index into the immutable ``edge_u/edge_v/edge_t`` arrays
-    shared by every TEL derived from the same base graph, so edge-set
-    signatures are comparable across copies and across processes that
-    rebuilt the arrays deterministically.
+    Edge ids index into the ``edge_u/edge_v/edge_t`` arrays shared by
+    every TEL derived from the same base graph, so edge-set signatures
+    are comparable across copies and across processes that rebuilt the
+    arrays deterministically. A TEL never writes to arrays it was given:
+    its first ``add_edge`` switches it to private copies (``own_arrays``).
     """
 
     __slots__ = (
         "edge_u", "edge_v", "edge_t",
         "alive", "tl", "next_t", "prev_t", "head_t", "tail_t",
-        "sl", "dl", "nbr", "deg", "heap", "n_edges",
+        "sl", "dl", "nbr", "deg", "low", "kcore", "n_edges", "own_arrays",
     )
 
     def __init__(
@@ -125,8 +85,10 @@ class TEL:
         self.dl = dl
         self.nbr = nbr
         self.deg = {v: len(c) for v, c in nbr.items()}
-        self.heap = DegreeHeap(self.deg)
+        self.low: list[int] = []
+        self.kcore = 1  # every listed vertex has a neighbour
         self.n_edges = len(alive)
+        self.own_arrays = False
 
     # -- factories ---------------------------------------------------------
 
@@ -143,12 +105,28 @@ class TEL:
     def copy(self) -> "TEL":
         """An independent TEL over the currently-alive edges.
 
-        Shares the immutable edge arrays; rebuilds the mutable index.
-        Used by (O)TCD to start each anchor row from ``T^k_[ts, Te]``
-        without disturbing the row-start chain instance (paper §5.2
-        keeps exactly these two instances in memory).
+        Shares the edge arrays and copies the mutable index bucket by
+        bucket, in time linear in the alive edges and without rehashing
+        them one by one. Used by (O)TCD to start each anchor row from
+        ``T^k_[ts, Te]`` without disturbing the row-start chain instance
+        (paper §5.2 keeps exactly these two instances in memory).
         """
-        return TEL(self.edge_u, self.edge_v, self.edge_t, eids=self.alive)
+        cp = TEL.__new__(TEL)
+        cp.edge_u, cp.edge_v, cp.edge_t = self.edge_u, self.edge_v, self.edge_t
+        cp.alive = self.alive.copy()
+        cp.tl = dict(zip(self.tl, map(set.copy, self.tl.values())))
+        cp.next_t = self.next_t.copy()
+        cp.prev_t = self.prev_t.copy()
+        cp.head_t, cp.tail_t = self.head_t, self.tail_t
+        cp.sl = dict(zip(self.sl, map(set.copy, self.sl.values())))
+        cp.dl = dict(zip(self.dl, map(set.copy, self.dl.values())))
+        cp.nbr = dict(zip(self.nbr, map(dict.copy, self.nbr.values())))
+        cp.deg = self.deg.copy()
+        cp.low = self.low.copy()
+        cp.kcore = self.kcore
+        cp.n_edges = self.n_edges
+        cp.own_arrays = False
+        return cp
 
     # -- O(1) manipulations (paper Table 1) --------------------------------
 
@@ -179,7 +157,7 @@ class TEL:
         del self.tl[t]
 
     def del_edge(self, e: int, *, from_tl: bool = True) -> None:
-        """Delete edge ``e``; update TL/SL/DL, degrees and the heap.
+        """Delete edge ``e``; update TL/SL/DL, degrees and the worklist.
 
         ``from_tl=False`` skips the TL removal when the caller is
         consuming an entire TL bucket itself (truncation fast path).
@@ -211,25 +189,33 @@ class TEL:
             else:
                 del c[b]
                 if c:
-                    self.deg[a] = len(c)
-                    self.heap.push(a)
+                    n = self.deg[a] = len(c)
+                    if n < self.kcore:
+                        self.low.append(a)
                 else:
                     del self.nbr[a]
                     del self.deg[a]
 
     def add_edge(self, u: int, v: int, t: int) -> int:
         """Dynamic-graph append (paper §6.1): ``t`` must be >= every
-        existing timestamp (new events arrive in time order). O(1)."""
+        existing timestamp (new events arrive in time order). O(1), but
+        for the first append, which copies the edge arrays."""
         if self.tail_t is not None and t < self.tail_t:
             raise ValueError(
                 f"add_edge requires non-decreasing timestamps "
                 f"(got {t} < tail {self.tail_t})"
             )
-        # Mutable id space: extend the arrays (they must be list-backed).
+        if not self.own_arrays:
+            # The arrays may be shared (a dataset cache, other TELs):
+            # new ids extend private copies.
+            self.edge_u = list(self.edge_u)
+            self.edge_v = list(self.edge_v)
+            self.edge_t = list(self.edge_t)
+            self.own_arrays = True
         e = len(self.edge_u)
-        self.edge_u.append(u)  # type: ignore[attr-defined]
-        self.edge_v.append(v)  # type: ignore[attr-defined]
-        self.edge_t.append(t)  # type: ignore[attr-defined]
+        self.edge_u.append(u)
+        self.edge_v.append(v)
+        self.edge_t.append(t)
         self.alive.add(e)
         self.n_edges += 1
         if t in self.tl:
@@ -246,11 +232,13 @@ class TEL:
         self.dl.setdefault(v, set()).add(e)
         for a, b in ((u, v), (v, u)):
             c = self.nbr.setdefault(a, {})
-            had = b in c
-            c[b] = c.get(b, 0) + 1
-            if not had:
-                self.deg[a] = len(c)
-                self.heap.push(a)
+            if b in c:
+                c[b] += 1
+            else:
+                c[b] = 1
+                n = self.deg[a] = len(c)
+                if n < self.kcore:  # a new vertex: older ones are >= kcore or on low
+                    self.low.append(a)
         return e
 
     # -- derived views -----------------------------------------------------

@@ -10,6 +10,9 @@ from repro.core.extensions import (
 )
 from repro.core.otcd import otcd_query
 from repro.core.tcd import tcd_query
+from repro.datasets.temporal import edge_arrays
+from repro.experiments.queries import selected_queries
+from repro.experiments.tables import query_tel
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
@@ -105,6 +108,16 @@ class TestDynamic:
         burst = [(1, 2, 6), (2, 3, 6), (1, 3, 7)]
         res = requery_after_append(tel, burst, 2, 1, 7)
         assert len(res.cores) >= 1
+
+    def test_append_leaves_cached_dataset_arrays_alone(self):
+        """Appends must not grow the arrays every later query shares."""
+        q = selected_queries(sf=0.02)[0]
+        before = tuple(map(len, edge_arrays(q.dataset, 0.02)))
+        tel = query_tel(q, sf=0.02)
+        n = tel.n_edges
+        requery_after_append(tel, [(1, 2, q.Te), (2, 3, q.Te)], q.k, q.Ts, q.Te)
+        assert tel.n_edges == n + 2
+        assert tuple(map(len, edge_arrays(q.dataset, 0.02))) == before
 
     def test_append_out_of_order_rejected(self):
         tel = tel_of([(1, 2, 5)])

@@ -40,6 +40,30 @@ def test_theorem1_decremental_induction(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
+def test_one_instance_across_k_levels(seed):
+    """k going up, down and to 0 on one instance: every step equals the
+    reference on the edges the instance held before it (the worklist
+    rescans degrees whenever k rises above the last peeled level)."""
+    edges = bursty_temporal_graph(seed)
+    tel = tel_of(edges)
+    steps = [(2, 1, 20), (3, 3, 18), (2, 5, 16), (3, 6, 15), (4, 7, 13),
+             (0, 8, 12), (2, 8, 11)]
+    for k, ts, te in steps:
+        held = tel.edges()
+        tcd_operation(tel, k, ts, te)
+        assert tel.edges() == ref.temporal_kcore(held, k, ts, te), (k, ts, te)
+
+
+def test_appended_vertex_is_peeled():
+    """An append onto a peeled core feeds the worklist."""
+    tel = tel_of([(1, 2, 1), (2, 3, 1), (1, 3, 2)])
+    tcd_operation(tel, 2, 1, 2)
+    tel.add_edge(3, 4, 3)
+    tcd_operation(tel, 2, 1, 3)
+    assert tel.vertices() == {1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", range(6))
 def test_theorem1_multi_step_jump(seed):
     """TCD may jump several columns at once (used by OTCD after PoR)."""
     edges = bursty_temporal_graph(seed)

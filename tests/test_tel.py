@@ -1,7 +1,10 @@
 """Unit tests for the TEL data structure (paper §5.1, Table 1)."""
+import random
+
 import pytest
 
-from repro.core.tel import TEL, DegreeHeap
+from repro.core.tcd import window_tel
+from repro.core.tel import TEL
 
 from .util import random_temporal_graph, tel_of
 
@@ -155,36 +158,6 @@ class TestCopy:
         assert cp.timestamps() == tel.timestamps()
 
 
-class TestDegreeHeap:
-    def test_peek_and_pop_order(self):
-        deg = {10: 3, 20: 1, 30: 2}
-        h = DegreeHeap(deg)
-        assert h.peek_degree() == 1
-        assert h.pop() == 20
-        del deg[20]
-        assert h.pop() == 30
-        del deg[30]
-        assert h.pop() == 10
-
-    def test_stale_entries_skipped(self):
-        deg = {1: 5, 2: 4}
-        h = DegreeHeap(deg)
-        deg[1] = 1  # degree decreased
-        h.push(1)
-        assert h.pop() == 1
-
-    def test_empty(self):
-        h = DegreeHeap({})
-        assert h.peek_degree() is None
-        assert h.pop() is None
-
-    def test_deleted_vertex_skipped(self):
-        deg = {1: 1, 2: 2}
-        h = DegreeHeap(deg)
-        del deg[1]
-        assert h.pop() == 2
-
-
 class TestWindowTel:
     def test_window_restricts_edges(self):
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
@@ -195,3 +168,37 @@ class TestWindowTel:
         edges = [(1, 2, 1), (2, 3, 5), (1, 3, 9)]
         tel = tel_of(edges, 2, 8)
         assert tel.alive == {1}
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (4, 10),  # three edges on each bound
+            (6, 6),  # a single tick
+            (5, 9),  # bounds between timestamps
+            (3, 3),  # empty: no edge at t=3
+            (10, 4),  # empty: ts > te
+            (-5, 1),  # empty, before the first edge
+            (21, 30),  # empty, after the last edge
+            (-5, 4),  # past the start
+            (18, 30),  # past the end
+            (-5, 30),  # everything
+        ],
+    )
+    def test_matches_linear_scan(self, shuffle, window):
+        """Sorted arrays are bisected, shuffled ones scanned; both keep
+        exactly the global ids a scan of the whole array keeps."""
+        tts = sorted(list(range(2, 21, 2)) * 3)
+        if shuffle:
+            random.Random(7).shuffle(tts)
+        us, vs = list(range(len(tts))), list(range(1, len(tts) + 1))
+        ts, te = window
+        tel = window_tel(us, vs, tts, ts, te)
+        assert tel.alive == {e for e, t in enumerate(tts) if ts <= t <= te}
+        assert tel.n_edges == len(tel.alive)
+
+    def test_order_rechecked_on_every_call(self):
+        tts = [1, 2, 3]
+        assert window_tel([1, 2, 3], [2, 3, 4], tts, 3, 3).alive == {2}
+        tts[0] = 3  # no longer sorted: bisection would miss edge 0
+        assert window_tel([1, 2, 3], [2, 3, 4], tts, 3, 3).alive == {0, 2}
