@@ -1,7 +1,14 @@
 """The paper's primary contribution: TEL, TCD, OTCD and TTI pruning."""
-from .otcd import IntervalSet, otcd_query
+from .otcd import otcd_query
 from .records import CoreRecord, QueryResult, QueryStats
-from .tcd import row_sweep_distinct, tcd_operation, tcd_query, window_tel
+from .tcd import (
+    IntervalSet,
+    row_sweep_distinct,
+    sweep,
+    tcd_operation,
+    tcd_query,
+    window_tel,
+)
 from .tel import TEL
 
 __all__ = [
@@ -10,6 +17,7 @@ __all__ = [
     "QueryResult",
     "QueryStats",
     "IntervalSet",
+    "sweep",
     "tcd_operation",
     "tcd_query",
     "otcd_query",

@@ -4,10 +4,12 @@ All three extensions reuse the (O)TCD machinery directly:
 
 * **Dynamic graphs** — ``TEL.add_edge`` appends new events in O(1);
   :func:`requery_after_append` shows the evolve-then-requery loop.
-* **Link strength** — ``min_strength`` threading through TCD peeling
-  (pairs below the bound lose their edges during decomposition).
-* **Time span** — filter result cores by TTI span; includes the
-  shortest / top-n-shortest variants mentioned in the paper.
+* **Link strength** — ``otcd_query(..., min_strength=s)`` (or
+  ``tcd_query``) threads the bound through TCD peeling (pairs below it
+  lose their edges during decomposition).
+* **Time span** — ``otcd_query(..., max_span=n)`` filters result cores
+  by TTI span; :func:`top_n_shortest_span` gives the shortest /
+  top-n-shortest variants mentioned in the paper.
 """
 from __future__ import annotations
 
@@ -16,22 +18,6 @@ from typing import Iterable, Sequence
 from .otcd import otcd_query
 from .records import CoreRecord, QueryResult
 from .tel import TEL
-
-
-def strength_constrained_query(
-    graph: TEL, k: int, Ts: int, Te: int, min_strength: int, **kw
-) -> QueryResult:
-    """TCQ restricted to cores where every retained vertex pair has at
-    least ``min_strength`` parallel edges (paper §6.2)."""
-    return otcd_query(graph, k, Ts, Te, min_strength=min_strength, **kw)
-
-
-def span_constrained_query(
-    graph: TEL, k: int, Ts: int, Te: int, max_span: int, **kw
-) -> QueryResult:
-    """TCQ returning only cores whose TTI span is at most ``max_span``
-    ticks (paper §6.2, bursty-community use case)."""
-    return otcd_query(graph, k, Ts, Te, max_span=max_span, **kw)
 
 
 def top_n_shortest_span(cores: Sequence[CoreRecord], n: int) -> list[CoreRecord]:

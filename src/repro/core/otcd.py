@@ -15,111 +15,19 @@ rules (Algorithm 3):
   the cells ``[r, te] .. [r, te'+1]`` equal the later cell ``[r, te']``
   (Lemma 5).
 
-Pruned cells are kept per row as an :class:`IntervalSet`; the sweep
-jumps straight to the next unpruned column, and TCD's ability to jump
-across multiple columns at once (Theorem 1) keeps the decremental chain
-valid. Distinctness is by TTI (Equivalence, Property 2).
+The traversal and the rules live in :func:`repro.core.tcd.sweep`, the
+kernel TCD shares: pruned cells are kept per row as an
+:class:`~repro.core.tcd.IntervalSet`, the sweep jumps straight to the
+next unpruned column, and TCD's ability to jump across multiple columns
+at once (Theorem 1) keeps the decremental chain valid. This module runs
+it with pruning on and keeps one core per TTI (Equivalence, Property 2).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .records import CoreRecord, QueryResult, QueryStats
-from .tcd import tcd_operation, _collect
+from .tcd import _collect, _within_span, sweep
+from .tcd import tcd_operation  # noqa: F401  perfbench/tracing.py patches it here
 from .tel import TEL
-
-
-class IntervalSet:
-    """Sorted disjoint integer intervals with merge-on-add.
-
-    Rows hold only a handful of intervals in practice, so list + bisect
-    is both simple and fast enough.
-    """
-
-    __slots__ = ("_iv",)
-
-    def __init__(self) -> None:
-        self._iv: list[tuple[int, int]] = []
-
-    def add(self, lo: int, hi: int) -> int:
-        """Cover ``[lo, hi]``; return how many integers were newly covered."""
-        if lo > hi:
-            return 0
-        iv = self._iv
-        i = bisect_left(iv, (lo, -1))
-        # Step back if the previous interval overlaps/abuts lo.
-        if i > 0 and iv[i - 1][1] >= lo - 1:
-            i -= 1
-        new_lo, new_hi = lo, hi
-        newly = hi - lo + 1
-        j = i
-        while j < len(iv) and iv[j][0] <= new_hi + 1:
-            a, b = iv[j]
-            overlap = min(b, hi) - max(a, lo) + 1
-            if overlap > 0:
-                newly -= overlap
-            new_lo = min(new_lo, a)
-            new_hi = max(new_hi, b)
-            j += 1
-        iv[i:j] = [(new_lo, new_hi)]
-        return newly
-
-    def covers(self, x: int) -> bool:
-        iv = self._iv
-        i = bisect_left(iv, (x + 1, -1)) - 1
-        return i >= 0 and iv[i][0] <= x <= iv[i][1]
-
-    def next_uncovered_leq(self, x: int, floor: int) -> int | None:
-        """Largest ``c <= x`` with ``c >= floor`` not covered, else None."""
-        c = x
-        iv = self._iv
-        while c >= floor:
-            i = bisect_left(iv, (c + 1, -1)) - 1
-            if i >= 0 and iv[i][0] <= c <= iv[i][1]:
-                c = iv[i][0] - 1
-            else:
-                return c
-        return None
-
-    def count_uncovered(self, lo: int, hi: int) -> int:
-        """How many integers in ``[lo, hi]`` are not covered."""
-        if lo > hi:
-            return 0
-        total = hi - lo + 1
-        for a, b in self._iv:
-            overlap = min(b, hi) - max(a, lo) + 1
-            if overlap > 0:
-                total -= overlap
-        return total
-
-    def intervals(self) -> list[tuple[int, int]]:
-        return list(self._iv)
-
-
-def _apply_pruning(
-    ts: int,
-    te: int,
-    tti: tuple[int, int],
-    pruned: dict[int, IntervalSet],
-    stats: QueryStats,
-) -> None:
-    """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``."""
-    ts_p, te_p = tti
-    if te_p < te:  # Rule 1: PoR — cells [ts, te-1] .. [ts, te'].
-        stats.por_triggers += 1
-        stats.por_pruned += pruned[ts].add(te_p, te - 1)
-    if ts_p > ts:  # Rule 2: PoU — rows ts+1..ts', columns te .. r.
-        stats.pou_triggers += 1
-        n = 0
-        for r in range(ts + 1, ts_p + 1):
-            n += pruned[r].add(r, te)
-        stats.pou_pruned += n
-    if ts_p > ts and te_p < te:  # Rule 3: PoL — rows ts'+1..te', cols te'+1..te.
-        stats.pol_triggers += 1
-        n = 0
-        for r in range(ts_p + 1, te_p + 1):
-            n += pruned[r].add(te_p + 1, te)
-        stats.pol_pruned += n
 
 
 def otcd_query(
@@ -141,53 +49,18 @@ def otcd_query(
     collected core (use for large full-span scans; TTIs still identify
     cores uniquely by Property 2).
     """
-    from collections import defaultdict
-
     span = Te - Ts + 1
     stats = QueryStats(cells_total=span * (span + 1) // 2)
-    res = QueryResult(stats=stats)
-    by_tti: dict[tuple[int, int], CoreRecord] = {}
-    pruned: dict[int, IntervalSet] = defaultdict(IntervalSet)
-
-    chain = graph.copy()  # will hold T^k_[ts, Te] as ts advances
-    for ts in range(Ts, Te + 1):
-        prow = pruned[ts]
-        c0 = prow.next_uncovered_leq(Te, ts)
-        if c0 is None:
-            continue  # row fully pruned
-        # Advance the row-start chain to [ts, Te] (jumps over pruned rows).
-        tcd_operation(chain, k, ts, Te, min_strength=min_strength)
-        stats.cells_evaluated += 1
-        if chain.is_empty():
-            break  # T^k_[ts,Te] empty ⇒ all remaining rows empty too
-        stats.rows_started += 1
-
-        row = chain.copy()
-        te = c0
-        while te is not None and te >= ts:
-            if te == Te:
-                # The chain already *is* T^k_[ts,Te]; row is its copy.
-                core = row
-            else:
-                tcd_operation(row, k, ts, te, min_strength=min_strength)
-                stats.cells_evaluated += 1
-                core = row
-            if core.is_empty():
-                stats.empty_skipped += prow.count_uncovered(ts, te - 1)
-                break
-            tti = core.get_tti()
-            assert tti is not None
-            if tti not in by_tti:
-                rec = _collect(
-                    core, ts, te, materialize=materialize, signatures=signatures
-                )
-                if max_span is None or rec.tti[1] - rec.tti[0] + 1 <= max_span:
-                    by_tti[tti] = rec
-                else:
-                    by_tti[tti] = None  # seen, filtered by span constraint
-            _apply_pruning(ts, te, tti, pruned, stats)
-            te = prow.next_uncovered_leq(te - 1, ts)
-
-    res.cores = [r for r in by_tti.values() if r is not None]
+    by_tti: dict[tuple[int, int], CoreRecord | None] = {}
+    for ts, te, core in sweep(
+        graph.copy(), k, range(Ts, Te + 1), Te, stats,
+        prune=True, min_strength=min_strength,
+    ):
+        tti = core.get_tti()
+        if tti not in by_tti:
+            rec = _collect(core, ts, te, materialize=materialize, signatures=signatures)
+            # None: seen, but filtered out by the span constraint.
+            by_tti[tti] = rec if _within_span(rec, max_span) else None
+    res = QueryResult(cores=[r for r in by_tti.values() if r is not None], stats=stats)
     stats.cores_collected = len(res.cores)
     return res

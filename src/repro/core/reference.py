@@ -9,7 +9,7 @@ algorithm and this module is meaningful evidence of correctness.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Edge = tuple[int, int, int]
 
@@ -95,7 +95,3 @@ def coreness_over_interval(
             return k - 1
         k += 1
 
-
-def core_signature(core_edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    """Canonical identity of a core for cross-implementation comparison."""
-    return tuple(sorted(core_edges))

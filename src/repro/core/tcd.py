@@ -1,4 +1,5 @@
-"""TCD — Temporal Core Decomposition (paper §3, Algorithms 2 and 4).
+"""TCD — Temporal Core Decomposition (paper §3, Algorithms 2 and 4) and
+the one row-sweep kernel every TCQ algorithm here runs on.
 
 ``tcd_operation`` mutates a TEL in place: *truncation* drops timeline
 nodes outside ``[ts, te]`` from both ends, then *decomposition* peels
@@ -12,14 +13,18 @@ not yet known to be a core at ``k`` (a fresh window, or a larger ``k``).
 ``window_tel`` cuts ``TEL(G_[ts,te])`` out of the time-sorted dataset
 arrays by bisection, so a query costs its window, not the dataset.
 
-``tcd_query`` is Algorithm 2: enumerate subintervals row-major
-(``ts`` ascending; within a row ``te`` descending), inducing each core
-from the previous one, collecting a core when its edge set has not been
-seen before.
+``sweep`` is the one row-sweep kernel: the schedule of subintervals
+row-major (``ts`` ascending, ``te`` descending) with the paper's two
+instances (§5.2), a row-start chain and one row copy, and the TTI
+pruning of Algorithm 3 when asked. ``tcd_query`` (Algorithm 2),
+``otcd_query``, ``row_sweep_distinct`` (the Spark per-anchor task) and
+the PHC-Index build all consume it.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from typing import Iterator
 
 from .records import CoreRecord, QueryResult, QueryStats
 from .tel import TEL
@@ -126,28 +131,169 @@ def window_tel(
     return TEL(edge_u, edge_v, edge_t, eids=eids)
 
 
+class IntervalSet:
+    """Sorted disjoint integer intervals with merge-on-add: the pruned
+    cells of one schedule row.
+
+    Rows hold only a handful of intervals in practice, so list + bisect
+    is both simple and fast enough.
+    """
+
+    __slots__ = ("_iv",)
+
+    def __init__(self) -> None:
+        self._iv: list[tuple[int, int]] = []
+
+    def add(self, lo: int, hi: int) -> int:
+        """Cover ``[lo, hi]``; return how many integers were newly covered."""
+        if lo > hi:
+            return 0
+        iv = self._iv
+        i = bisect_left(iv, (lo, -1))
+        # Step back if the previous interval overlaps/abuts lo.
+        if i > 0 and iv[i - 1][1] >= lo - 1:
+            i -= 1
+        new_lo, new_hi = lo, hi
+        newly = hi - lo + 1
+        j = i
+        while j < len(iv) and iv[j][0] <= new_hi + 1:
+            a, b = iv[j]
+            overlap = min(b, hi) - max(a, lo) + 1
+            if overlap > 0:
+                newly -= overlap
+            new_lo = min(new_lo, a)
+            new_hi = max(new_hi, b)
+            j += 1
+        iv[i:j] = [(new_lo, new_hi)]
+        return newly
+
+    def covers(self, x: int) -> bool:
+        iv = self._iv
+        i = bisect_left(iv, (x + 1, -1)) - 1
+        return i >= 0 and iv[i][0] <= x <= iv[i][1]
+
+    def next_uncovered_leq(self, x: int, floor: int) -> int | None:
+        """Largest ``c <= x`` with ``c >= floor`` not covered, else None."""
+        c = x
+        iv = self._iv
+        while c >= floor:
+            i = bisect_left(iv, (c + 1, -1)) - 1
+            if i >= 0 and iv[i][0] <= c <= iv[i][1]:
+                c = iv[i][0] - 1
+            else:
+                return c
+        return None
+
+    def count_uncovered(self, lo: int, hi: int) -> int:
+        """How many integers in ``[lo, hi]`` are not covered."""
+        if lo > hi:
+            return 0
+        total = hi - lo + 1
+        for a, b in self._iv:
+            overlap = min(b, hi) - max(a, lo) + 1
+            if overlap > 0:
+                total -= overlap
+        return total
+
+    def intervals(self) -> list[tuple[int, int]]:
+        return list(self._iv)
+
+
+def _apply_pruning(
+    ts: int,
+    te: int,
+    tti: tuple[int, int],
+    pruned: dict[int, IntervalSet],
+    stats: QueryStats,
+    last: int,
+) -> None:
+    """Algorithm 3 on the trigger cell ``[ts, te]`` with TTI ``tti``;
+    rows past the last anchor row ``last`` are never marked."""
+    ts_p, te_p = tti
+    if te_p < te:  # Rule 1: PoR — cells [ts, te-1] .. [ts, te'].
+        stats.por_triggers += 1
+        stats.por_pruned += pruned[ts].add(te_p, te - 1)
+    if ts_p > ts:  # Rule 2: PoU — rows ts+1..ts', columns te .. r.
+        stats.pou_triggers += 1
+        n = 0
+        for r in range(ts + 1, min(ts_p, last) + 1):
+            n += pruned[r].add(r, te)
+        stats.pou_pruned += n
+    if ts_p > ts and te_p < te:  # Rule 3: PoL — rows ts'+1..te', cols te'+1..te.
+        stats.pol_triggers += 1
+        n = 0
+        for r in range(ts_p + 1, min(te_p, last) + 1):
+            n += pruned[r].add(te_p + 1, te)
+        stats.pol_pruned += n
+
+
+def sweep(
+    graph: TEL,
+    k: int,
+    anchors: range,
+    Te: int,
+    stats: QueryStats,
+    *,
+    prune: bool,
+    min_strength: int = 1,
+) -> Iterator[tuple[int, int, TEL]]:
+    """Yield ``(ts, te, core)`` for every evaluated cell of the anchor
+    rows ``anchors`` whose core ``T^k_[ts,te]`` is non-empty, in
+    schedule order.
+
+    ``graph`` becomes the row-start chain and is consumed: it must hold
+    a temporal k-core, or the TEL of a window, containing
+    ``[anchors[0], Te]`` (Theorem 1). ``core`` is the live row instance,
+    to be read before the generator resumes. With ``prune``, PoR, PoU
+    and PoL skip cells (PoU and PoL only mark rows inside ``anchors``);
+    without it every cell down to the row's first empty one is
+    evaluated. Work is counted into ``stats``.
+    """
+    if k < 1 or min_strength < 1:
+        raise ValueError(f"need k >= 1 and min_strength >= 1, got {k}, {min_strength}")
+    if not anchors or anchors[-1] > Te:
+        raise ValueError(f"need Ts <= Te, got anchors {anchors} and Te {Te}")
+    pruned: dict[int, IntervalSet] = defaultdict(IntervalSet)
+    for ts in anchors:
+        prow = pruned[ts]
+        te = prow.next_uncovered_leq(Te, ts)
+        if te is None:
+            continue  # row fully pruned
+        # Advance the chain to [ts, Te] (jumps over pruned rows).
+        tcd_operation(graph, k, ts, Te, min_strength=min_strength)
+        stats.cells_evaluated += 1
+        if graph.is_empty():
+            return  # T^k_[ts,Te] empty ⇒ all remaining rows empty too
+        stats.rows_started += 1
+        row = graph.copy()
+        while te is not None:
+            if te < Te:  # at Te the row already is the chain's core
+                tcd_operation(row, k, ts, te, min_strength=min_strength)
+                stats.cells_evaluated += 1
+                if row.is_empty():
+                    if prune:
+                        stats.empty_skipped += prow.count_uncovered(ts, te - 1)
+                    break
+            yield ts, te, row
+            if prune:
+                _apply_pruning(ts, te, row.get_tti(), pruned, stats, anchors[-1])
+            te = prow.next_uncovered_leq(te - 1, ts)
+
+
 def row_sweep_distinct(
     tel: TEL, k: int, ts: int, Te: int
 ) -> list[tuple[int, int, int, int, int]]:
-    """One anchor row of the schedule with PoR-style jumping: emit one
-    record ``(te, tti_s, tti_e, n_vertices, n_edges)`` per distinct core
-    in row ``ts``. Mutates ``tel`` (callers pass a fresh copy). This is
-    the per-task kernel of the distributed TCQ (rows are independent by
+    """One anchor row of the schedule with PoR jumping: emit one record
+    ``(te, tti_s, tti_e, n_vertices, n_edges)`` per distinct core in row
+    ``ts``. Consumes ``tel`` (callers pass a fresh TEL). This is the
+    per-task kernel of the distributed TCQ (rows are independent by
     Theorem 1; cross-row duplicates are removed by a distinct-by-TTI
     reduction, correct by Property 2).
     """
-    out: list[tuple[int, int, int, int, int]] = []
-    tcd_operation(tel, k, ts, Te)
-    te = Te
-    while not tel.is_empty():
-        tti = tel.get_tti()
-        assert tti is not None
-        out.append((te, tti[0], tti[1], tel.n_vertices(), tel.n_edges))
-        te = tti[1] - 1  # PoR: cells in between induce the same core
-        if te < ts:
-            break
-        tcd_operation(tel, k, ts, te)
-    return out
+    return [
+        (te, *core.get_tti(), core.n_vertices(), core.n_edges)
+        for _, te, core in sweep(tel, k, range(ts, ts + 1), Te, QueryStats(), prune=True)
+    ]
 
 
 def _collect(
@@ -170,6 +316,12 @@ def _collect(
     )
 
 
+def _within_span(rec: CoreRecord, max_span: int | None) -> bool:
+    """Time-span extension (§6.2): is the core's TTI at most ``max_span``
+    ticks long (``None``: no bound)?"""
+    return max_span is None or rec.tti[1] - rec.tti[0] + 1 <= max_span
+
+
 def tcd_query(
     graph: TEL,
     k: int,
@@ -180,7 +332,8 @@ def tcd_query(
     min_strength: int = 1,
     max_span: int | None = None,
 ) -> QueryResult:
-    """Algorithm 2: answer TCQ(G, k, [Ts, Te]) with plain TCD.
+    """Algorithm 2: answer TCQ(G, k, [Ts, Te]) with plain TCD, keeping a
+    core when its edge set has not been seen before.
 
     ``graph`` is not modified (the sweep works on copies, mirroring the
     paper's "copy of TEL(G_[Ts,Te])"). ``max_span`` filters results by
@@ -189,45 +342,15 @@ def tcd_query(
     span = Te - Ts + 1
     res = QueryResult(stats=QueryStats(cells_total=span * (span + 1) // 2))
     seen: set[frozenset[int]] = set()
-
-    # Row-start chain: A holds T^k_[ts, Te]; B sweeps the row.
-    chain = graph.copy()
-    tcd_operation(chain, k, Ts, Te, min_strength=min_strength)
-    res.stats.cells_evaluated += 1
-    for ts in range(Ts, Te + 1):
-        if ts > Ts:
-            tcd_operation(chain, k, ts, Te, min_strength=min_strength)
-            res.stats.cells_evaluated += 1
-        if chain.is_empty():
-            # T^k_[ts,Te] empty ⇒ every remaining subinterval is empty.
-            break
-        res.stats.rows_started += 1
-        _maybe_collect(res, seen, chain, ts, Te, materialize, max_span)
-        row = chain.copy()
-        for te in range(Te - 1, ts - 1, -1):
-            tcd_operation(row, k, ts, te, min_strength=min_strength)
-            res.stats.cells_evaluated += 1
-            if row.is_empty():
-                break
-            _maybe_collect(res, seen, row, ts, te, materialize, max_span)
+    for ts, te, core in sweep(
+        graph.copy(), k, range(Ts, Te + 1), Te, res.stats,
+        prune=False, min_strength=min_strength,
+    ):
+        sig = core.signature()
+        if sig not in seen:
+            seen.add(sig)
+            rec = _collect(core, ts, te, materialize=materialize)
+            if _within_span(rec, max_span):
+                res.cores.append(rec)
     res.stats.cores_collected = len(res.cores)
     return res
-
-
-def _maybe_collect(
-    res: QueryResult,
-    seen: set[frozenset[int]],
-    tel: TEL,
-    ts: int,
-    te: int,
-    materialize: bool,
-    max_span: int | None,
-) -> None:
-    sig = tel.signature()
-    if sig in seen:
-        return
-    seen.add(sig)
-    rec = _collect(tel, ts, te, materialize=materialize)
-    if max_span is not None and rec.tti[1] - rec.tti[0] + 1 > max_span:
-        return
-    res.cores.append(rec)

@@ -7,18 +7,22 @@ then belongs to the historical k-core of ``[ts, te]`` iff
 ``core_time(v, ts) <= te``.
 
 We build the index for the queried ``k`` and every anchor
-``ts in [Ts, Te]`` by running one decremental TEL row sweep per anchor
-(sweeping ``te`` from ``Te`` down; the step at which a vertex drops out
-of the core is exactly its core time). Restricting construction to the
-query's ``k`` and range strictly *favours* the baseline relative to the
-paper's full offline index — documented in DESIGN.md. A Spark-parallel
-builder over anchors lives in ``repro.sparkdist.phc``.
+``ts in [Ts, Te]`` with one unpruned run of the row-sweep kernel
+(:func:`repro.core.tcd.sweep`): the chain advances across anchors and
+each row sweeps ``te`` from ``Te`` down, so the last ``te`` at which a
+vertex is still in the core is exactly its core time. Restricting
+construction to the query's ``k`` and range strictly *favours* the
+baseline relative to the paper's full offline index — documented in
+DESIGN.md. A Spark-parallel builder over anchors lives in
+``repro.sparkdist.phc``.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.tcd import tcd_operation, window_tel
+from ..core.records import QueryStats
+from ..core.tcd import sweep, window_tel
+from ..core.tcd import tcd_operation  # noqa: F401  perfbench/tracing.py patches it here
 from ..core.tel import TEL
 
 Edge = tuple[int, int, int]
@@ -27,28 +31,21 @@ Edge = tuple[int, int, int]
 PHCIndex = dict[int, dict[int, int]]
 
 
+def _core_times(graph: TEL, k: int, anchors: range, Te: int) -> PHCIndex:
+    """Core times for every anchor row in ``anchors``; consumes ``graph``."""
+    index: PHCIndex = {ts: {} for ts in anchors}
+    for ts, te, core in sweep(graph, k, anchors, Te, QueryStats(), prune=False):
+        index[ts].update(dict.fromkeys(core.deg, te))
+    return index
+
+
 def core_times_for_anchor(
     graph: TEL, k: int, ts: int, Te: int
 ) -> dict[int, int]:
     """Core time of every vertex for anchor ``ts`` (absent = never in
-    the k-core within ``[ts, Te]``). One decremental row sweep."""
-    row = graph.copy()
-    tcd_operation(row, k, ts, Te)
-    ct: dict[int, int] = {}
-    # Vertices present at [ts, te] have core time <= te; the final value
-    # is the last te at which they were still present.
-    prev = set(row.deg)
-    for v in prev:
-        ct[v] = Te
-    for te in range(Te - 1, ts - 1, -1):
-        if row.is_empty():
-            break
-        tcd_operation(row, k, ts, te)
-        cur = set(row.deg)
-        for v in cur:
-            ct[v] = te
-        prev = cur
-    return ct
+    the k-core within ``[ts, Te]``). One decremental row sweep; consumes
+    ``graph`` (callers pass a fresh TEL)."""
+    return _core_times(graph, k, range(ts, ts + 1), Te)[ts]
 
 
 def build_phc_index(
@@ -57,13 +54,9 @@ def build_phc_index(
     """Core times for every anchor ``ts in [Ts, Te]`` at coreness ``k``.
 
     Only the ``[Ts, Te]`` window of ``edges`` is built (edge ids stay
-    positions); each anchor then runs an independent row sweep (this is
-    the offline precomputation whose cost the paper's Figure 7 excludes
+    positions); one sweep then covers every anchor row (this is the
+    offline precomputation whose cost the paper's Figure 7 excludes
     from baseline response time).
     """
     us, vs, tts = tuple(map(list, zip(*edges))) or ([], [], [])
-    base = window_tel(us, vs, tts, Ts, Te)
-    index: PHCIndex = {}
-    for ts in range(Ts, Te + 1):
-        index[ts] = core_times_for_anchor(base, k, ts, Te)
-    return index
+    return _core_times(window_tel(us, vs, tts, Ts, Te), k, range(Ts, Te + 1), Te)

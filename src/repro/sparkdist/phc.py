@@ -4,7 +4,10 @@ The index build (one decremental row sweep per anchor ``ts``) is
 embarrassingly parallel over anchors; this module fans the anchors out
 as ``applyInPandas`` tasks over a broadcast of the projected window and
 returns the index as a DataFrame ``(ts, vtx, core_time)`` — the
-distributed equivalent of :func:`repro.phc.index.build_phc_index`.
+distributed equivalent of :func:`repro.phc.index.build_phc_index`. Each
+task runs the driver's row-sweep kernel (:func:`repro.core.tcd.sweep`)
+over its one anchor row, through
+:func:`repro.phc.index.core_times_for_anchor`.
 """
 from __future__ import annotations
 

@@ -10,7 +10,9 @@ Strategy (DESIGN.md §2, "Layering decision"):
 2. The surviving core edges are broadcast; the anchor rows of the
    subinterval schedule fan out as one ``applyInPandas`` task per
    anchor. Each task rebuilds a TEL from the broadcast arrays and runs
-   the decremental row sweep with PoR jumping
+   the driver's row-sweep kernel (:func:`repro.core.tcd.sweep`, the
+   one TCD, OTCD and the PHC build use) over its single row, where the
+   pruning rules reduce to PoR jumping
    (:func:`repro.core.tcd.row_sweep_distinct`). Rows are independent by
    Theorem 1 (each row's start core is induced directly from
    ``T^k_[Ts,Te]``).

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from repro.core.otcd import IntervalSet
+from repro.core.tcd import IntervalSet
 
 
 class TestAdd:

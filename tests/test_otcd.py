@@ -1,10 +1,13 @@
 """OTCD (pruning-optimized TCD): result equality with TCD / brute force,
 plus the paper's claims about the pruning rules (§4.3)."""
+import random
+
 import pytest
 
 from repro.core import reference as ref
 from repro.core.otcd import otcd_query
-from repro.core.tcd import tcd_query
+from repro.core.records import QueryStats
+from repro.core.tcd import sweep, tcd_query
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
@@ -103,3 +106,51 @@ def test_first_inducer_reported_in_schedule_order():
     for c in res.cores:
         assert c.ts <= c.tti[0]
         assert c.te >= c.tti[1]
+
+
+@pytest.mark.parametrize(
+    "k, Ts, Te, kw",
+    [(0, 1, 20, {}), (-1, 1, 20, {}), (2, 6, 5, {}), (2, 1, 20, {"min_strength": 0})],
+)
+def test_bad_arguments_rejected(k, Ts, Te, kw):
+    tel = tel_of(bursty_temporal_graph(0))
+    with pytest.raises(ValueError):
+        otcd_query(tel, k, Ts, Te, **kw)
+
+
+def _anchor_ranges(Ts, Te, parts, seed):
+    """``range(Ts, Te + 1)`` cut into ``parts`` contiguous ranges
+    (``None``: one range per row)."""
+    if parts is None:
+        return [range(ts, ts + 1) for ts in range(Ts, Te + 1)]
+    cuts = sorted(random.Random(seed).sample(range(Ts + 1, Te + 1), parts - 1))
+    bounds = [Ts, *cuts, Te + 1]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("parts", [1, 2, 4, None])
+@pytest.mark.parametrize("kind", ["random", "bursty"])
+def test_anchor_ranges_cover_otcd(seed, parts, kind):
+    """Pruned sweeps over contiguous anchor ranges that split the
+    schedule find exactly OTCD's TTIs together, and prune only cells of
+    their own rows (a one-row range prunes by PoR alone)."""
+    if kind == "random":
+        edges = random_temporal_graph(seed, n_vertices=10, n_edges=55, n_ticks=9)
+        Ts, Te = 1, 9
+    else:
+        edges = bursty_temporal_graph(seed)
+        Ts, Te = 1, 20
+    tel = tel_of(edges, Ts, Te)
+    want = otcd_query(tel, 2, Ts, Te).ttis()
+    got = set()
+    for anchors in _anchor_ranges(Ts, Te, parts, seed):
+        stats = QueryStats()
+        for ts, te, core in sweep(tel.copy(), 2, anchors, Te, stats, prune=True):
+            assert ts in anchors
+            got.add(core.get_tti())
+        cells = sum(Te - ts + 1 for ts in anchors)
+        assert stats.pruned_total() + stats.cells_evaluated <= cells
+        if len(anchors) == 1:
+            assert stats.pou_pruned == stats.pol_pruned == 0
+    assert got == want

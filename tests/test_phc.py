@@ -43,6 +43,14 @@ class TestIndex:
         for ts in (1, 4, 7):
             assert core_times_for_anchor(tel.copy(), 2, ts, 10) == index[ts]
 
+    @pytest.mark.parametrize("k, Ts, Te", [(0, 1, 10), (-1, 1, 10), (2, 6, 5)])
+    def test_bad_arguments_rejected(self, k, Ts, Te):
+        edges = bursty_temporal_graph(1, n_ticks=10, burst_window=(4, 7))
+        with pytest.raises(ValueError):
+            build_phc_index(edges, k, Ts, Te)
+        with pytest.raises(ValueError):
+            core_times_for_anchor(tel_of(edges, 1, 10), k, Ts, Te)
+
     def test_vertices_never_in_core_absent(self):
         edges = [(1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 3)]
         index = build_phc_index(edges, 2, 1, 3)

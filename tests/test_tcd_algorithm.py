@@ -3,7 +3,7 @@ subintervals (distinct-core semantics of Definition 2)."""
 import pytest
 
 from repro.core import reference as ref
-from repro.core.tcd import tcd_query
+from repro.core.tcd import row_sweep_distinct, tcd_query
 
 from .util import bursty_temporal_graph, random_temporal_graph, tel_of
 
@@ -82,3 +82,22 @@ def test_monotone_in_k(k):
     lo = tcd_query(tel_of(edges), k, 1, 20)
     hi = tcd_query(tel_of(edges), k + 1, 1, 20)
     assert len(hi.cores) <= len(lo.cores)
+
+
+@pytest.mark.parametrize(
+    "k, Ts, Te, kw",
+    [(0, 1, 20, {}), (-1, 1, 20, {}), (2, 6, 5, {}), (2, 1, 20, {"min_strength": 0})],
+)
+def test_bad_arguments_rejected(k, Ts, Te, kw):
+    """k < 1, Ts > Te and min_strength < 1 fail loudly instead of
+    returning every or no subgraph."""
+    tel = tel_of(bursty_temporal_graph(0))
+    with pytest.raises(ValueError):
+        tcd_query(tel, k, Ts, Te, **kw)
+
+
+@pytest.mark.parametrize("k, ts, Te", [(0, 1, 20), (-1, 1, 20), (2, 6, 5)])
+def test_row_sweep_bad_arguments_rejected(k, ts, Te):
+    tel = tel_of(bursty_temporal_graph(0))
+    with pytest.raises(ValueError):
+        row_sweep_distinct(tel, k, ts, Te)
